@@ -292,16 +292,19 @@
 // per-shard column batches, and each shard goroutine receives
 // ready-to-apply columns. Routed queries bypass snapshots entirely:
 // Engine.Estimate routes to the index's OWNING shard (the partition
-// hash sends every update for an index to one shard) and runs in that
-// shard's goroutine — no all-shard flush barrier, no merged-view
-// rebuild (Engine.SnapshotBuilds counts rebuilds; routed queries never
-// move it). Engine.EstimateBatch is the batched form and the read-side
+// hash sends every update for an index to one shard) and runs on the
+// caller's goroutine under that shard's lock, after applying the
+// shard's pending run inline — no all-shard flush barrier, no wake-up
+// of the shard goroutine, no merged-view rebuild
+// (Stats().SnapshotBuilds counts rebuilds; routed queries never move
+// it). Engine.EstimateBatch is the batched form and the read-side
 // mirror of Ingest: one hash evaluation computes every queried index's
-// owning shard, the index set scatters by column, shards answer their
-// columns concurrently with the structures' batched readers, and the
-// results reassemble in input order — bit-identical to per-index
-// Estimate, and >= 2x cheaper per index at batch >= 256 because the
-// per-query shard crossing amortizes across the batch.
+// owning shard, the index set scatters by column, each involved shard
+// answers its column under its lock with the structures' batched
+// readers, and the results reassemble in input order — bit-identical
+// to per-index Estimate, and >= 2x cheaper per index at batch >= 256
+// on a quiet engine because the per-query routing and locking
+// amortize across the batch.
 // Engine.Probe(i) routes a support membership probe the same way, and
 // Engine.Support unions the shards' live recoveries (partition
 // completeness makes them disjoint) without a single clone or merge.

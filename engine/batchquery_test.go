@@ -49,7 +49,7 @@ func TestEngineEstimateBatchMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Uneven chunks leave pending runs for the early hand-off path.
+		// Uneven chunks leave pending runs for the inline-apply path.
 		for off := 0; off < len(s.Updates); off += 777 {
 			end := off + 777
 			if end > len(s.Updates) {
@@ -310,7 +310,7 @@ func TestEngineBatchQueryNotEnabled(t *testing.T) {
 
 // TestEngineEstimateBatchConcurrent exercises the routed batch path
 // under concurrent producers — the -race target for the scatter plan,
-// early hand-offs, and disjoint position writes.
+// inline pending-run applies, and disjoint position writes.
 func TestEngineEstimateBatchConcurrent(t *testing.T) {
 	s, _ := fig1Stream(41)
 	e, err := New(testCfg, Options{Shards: 4, BatchSize: 256, Queue: 4})

@@ -127,19 +127,30 @@ func BenchmarkEngineQueryIngestInterleave(b *testing.B) {
 }
 
 // BenchmarkEngineEstimateBatch is the regression benchmark for the
-// batched snapshot-free point-query path: one producer keeps ingesting
-// (the interleave keeps every query paying the early hand-off and the
-// shard-goroutine crossing, as in production) while the bench
-// goroutine reads a fixed index set after every chunk — "batched"
-// through one EstimateBatch call, "scalar" through a loop of Estimate.
-// The acceptance ratio is per-INDEX: batched must amortize the
-// per-query shard crossing across the batch, >= 2x over the scalar
-// loop at batch >= 256. Only the query side is on the clock (the
-// ingest chunk runs between StopTimer/StartTimer), so ns/op is the
-// cost of one full index-set read; divide by indexes/op for the
-// per-index cost the regression gate compares. snapshots/op must stay
-// 0 for both flavors.
+// batched snapshot-free point-query path on a quiet engine: before
+// every read the bench goroutine ingests a chunk and flushes it with
+// the timer stopped, then reads a fixed index set — "batched" through
+// one EstimateBatch call, "scalar" through a loop of Estimate. Only
+// the read is on the clock, so ns/op is the cost of one full index-set
+// read; divide by indexes/op for the per-index cost the regression
+// gate compares. The acceptance ratio is per-INDEX: batched must
+// amortize the per-query routing and locking across the batch, >= 2x
+// over the scalar loop at batch >= 256. snapshots/op must stay 0 for
+// both flavors. BenchmarkEngineEstimateBatchAfterWrite is the same
+// read without the flush.
 func BenchmarkEngineEstimateBatch(b *testing.B) {
+	benchEstimateBatch(b, true)
+}
+
+// BenchmarkEngineEstimateBatchAfterWrite is BenchmarkEngineEstimateBatch
+// without the flush: each read follows an unflushed 512-update chunk,
+// so the clock also carries the read-after-write cost — applying the
+// involved shards' pending runs and waiting out their inboxes.
+func BenchmarkEngineEstimateBatchAfterWrite(b *testing.B) {
+	benchEstimateBatch(b, false)
+}
+
+func benchEstimateBatch(b *testing.B, flush bool) {
 	s, _ := fig1Stream(42)
 	const chunk = 512
 	run := func(b *testing.B, size int, query func(e *Engine, idxs []uint64) error) {
@@ -165,6 +176,11 @@ func BenchmarkEngineEstimateBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			off = end
+			if flush {
+				if err := e.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.StartTimer()
 			if err := query(e, idxs); err != nil {
 				b.Fatal(err)

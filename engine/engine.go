@@ -25,7 +25,8 @@
 //	      answered by the OWNING shard(s), snapshot-free — no flush
 //	      barrier, no merged-view rebuild. EstimateBatch mirrors
 //	      Ingest: one hash evaluation computes every queried index's
-//	      shard, columns scatter, shards answer concurrently, results
+//	      shard, columns scatter, each shard answers its column on the
+//	      caller's goroutine under that shard's lock, results
 //	      reassemble in input order.
 //
 // Each shard goroutine receives ready-to-apply column batches and fans
@@ -366,8 +367,8 @@ func (s *structSet) spaceBits() int64 {
 // queryMu (the merged snapshot's query paths share scratch) but — when
 // the generation-tagged view cache is warm — never touch the engine
 // mutex, so a query burst does not stall producers' partitioning.
-// Point queries (Estimate) route to the owning shard and serialize only
-// with that shard's ingest.
+// Point queries (Estimate) route to the owning shard, run on the
+// caller's goroutine and serialize only with that shard's ingest.
 type Engine struct {
 	mu      sync.Mutex // engine state: pending buffers, workers, view rebuild
 	queryMu sync.Mutex // serializes queries over the cached merged view
@@ -375,16 +376,16 @@ type Engine struct {
 	opt     Options
 	part    *hash.KWise
 	workers []*shard.Worker
-	sets    []*structSet // owned by the worker goroutines; touch via Do
+	sets    []*structSet // guarded by the shard locks; touch via Run or DoAsync
 	pending []*core.Batch
 	// Partition-plan scratch (guarded by mu): the whole incoming batch's
 	// keys and shard assignments, computed in one batch hash evaluation
 	// before the columnar scatter.
 	planKeys   []uint64
 	planShards []uint64
-	// inflight counts producers (and point queries) that are handing
-	// filled buffers to shard inboxes or running shard closures outside
-	// the lock; flushLocked waits for them so a flush (and therefore a
+	// inflight counts producers handing filled buffers to shard inboxes
+	// and routed reads running under a shard lock outside e.mu;
+	// flushLocked waits for them so a flush (and therefore a
 	// merged view, and Close) covers every Ingest whose locked section
 	// completed.
 	inflight sync.WaitGroup
@@ -710,38 +711,76 @@ func (e *Engine) lockRouted() (fallback bool, err error) {
 	return false, nil
 }
 
-// pendingHandoff is one pending buffer detached by swapPendingLocked,
-// awaiting its post-unlock Send.
-type pendingHandoff struct {
-	shard int
-	buf   *core.Batch
+// claimLocked detaches shard s's pending run for a routed read,
+// replacing it with a fresh pooled batch, and returns nil when the run
+// is empty. A nonempty run counts as a batch sent, and claimLocked
+// takes the shard's lock before the caller releases e.mu: the read
+// applies the run inline (readShard) — read-your-writes without an
+// inbox round trip — and any read that enters e.mu after this one
+// queues behind that lock, so it cannot read the shard before the run
+// is applied. The caller holds e.mu and must register with e.inflight
+// before releasing it.
+func (e *Engine) claimLocked(s int) *core.Batch {
+	p := e.pending[s]
+	if p.Len() == 0 {
+		return nil
+	}
+	e.pending[s] = core.GetBatch()
+	e.met.batchesSent.Inc()
+	e.workers[s].Lock()
+	return p
 }
 
-// swapPendingLocked detaches the nonempty pending buffers of every
-// shard selected by involved, replacing each with a fresh pooled batch
-// — the routed queries' early hand-off. The caller holds e.mu, must
-// register with e.inflight before releasing it, and must sendHandoffs
-// AFTER releasing it: worker inboxes are FIFO, so the hand-off
-// happens before any query closure subsequently enqueued on those
-// shards, without a full inbox stalling other producers under the
-// lock.
-func (e *Engine) swapPendingLocked(involved func(int) bool) []pendingHandoff {
-	var full []pendingHandoff
-	for s := range e.pending {
-		if involved(s) && e.pending[s].Len() > 0 {
-			full = append(full, pendingHandoff{shard: s, buf: e.pending[s]})
-			e.pending[s] = core.GetBatch()
+// readShard runs f under shard s's lock on the caller's goroutine,
+// after run — claimLocked's result, whose lock it inherits — has been
+// applied and every message already committed to the shard's inbox
+// has been processed.
+func (e *Engine) readShard(s int, run *core.Batch, f func()) {
+	if run == nil {
+		e.workers[s].Run(f)
+		return
+	}
+	e.workers[s].RunLocked(run, f)
+}
+
+// shardColumn is one shard's slice of a batched routed read: the
+// queried keys it owns, their positions in the input, and the pending
+// run detached for it.
+type shardColumn struct {
+	keys []uint64
+	pos  []int
+	run  *core.Batch
+}
+
+// planReadLocked plans a batched routed read: every index's owning
+// shard in one batch hash evaluation — the same evaluator and
+// shard-column scratch Ingest plans with, under the same lock (idxs
+// already IS the key column, so the planKeys scratch is not needed) —
+// then a scatter of the index column by owning shard, and a claim of
+// each involved shard's pending run in ascending shard order, the
+// batched form of the scalar read's inline apply. The caller reads
+// the columns in that order too: with every claim made under e.mu, two
+// reads then never wait on each other's shard locks in a cycle. The
+// columns outlive the lock, so they are per-call storage, not the
+// mu-guarded plan scratch. The caller holds e.mu.
+func (e *Engine) planReadLocked(idxs []uint64) []shardColumn {
+	n := len(idxs)
+	if cap(e.planShards) < n {
+		e.planShards = make([]uint64, n)
+	}
+	shards := e.planShards[:n]
+	e.part.RangeBatch(idxs, uint64(e.opt.Shards), shards)
+	cols := make([]shardColumn, e.opt.Shards)
+	for j, s := range shards {
+		cols[s].keys = append(cols[s].keys, idxs[j])
+		cols[s].pos = append(cols[s].pos, j)
+	}
+	for s := range cols {
+		if len(cols[s].keys) > 0 {
+			cols[s].run = e.claimLocked(s)
 		}
 	}
-	return full
-}
-
-// sendHandoffs pushes swapped pending buffers to their shard inboxes.
-func (e *Engine) sendHandoffs(full []pendingHandoff) {
-	for _, h := range full {
-		e.workers[h.shard].Send(h.buf)
-	}
-	e.met.batchesSent.Add(int64(len(full)))
+	return cols
 }
 
 // HeavyHitters returns the eps-heavy coordinates of the full ingested
@@ -762,11 +801,12 @@ func (e *Engine) HeavyHitters() ([]uint64, error) {
 // f_i, answered snapshot-free by the index's OWNING shard: the same
 // fast-range partition hash that routes i's updates routes the query,
 // and that shard's live structure holds i's entire mass. The query
-// runs as a closure in the shard's goroutine — serialized with that
-// shard's ingest, after the shard's pending run (if any) is handed off
-// — so it never pays the all-shard flush barrier and never builds a
-// merged snapshot (SnapshotBuilds does not move). Routing to the owner
-// is also slightly more accurate than querying a merged table: the
+// runs on the caller's goroutine under the shard's lock — serialized
+// with that shard's ingest, after the shard's pending run (if any) is
+// applied inline — so it never pays the all-shard flush barrier,
+// never wakes the shard goroutine and never builds a merged snapshot
+// (SnapshotBuilds does not move). Routing to the owner is also
+// slightly more accurate than querying a merged table: the
 // owning shard's counters only carry collision noise from its own
 // partition of the key space.
 //
@@ -785,18 +825,17 @@ func (e *Engine) Estimate(i uint64) (float64, error) {
 		return e.estimateView(i)
 	}
 	s := e.shardOf(i)
-	full := e.swapPendingLocked(func(x int) bool { return x == s })
-	w, set := e.workers[s], e.sets[s]
+	run := e.claimLocked(s)
 	// Registering with inflight keeps Flush/Close honest: they wait for
-	// the early hand-off and the shard closure below, so they can never
-	// observe (or tear down) the shard mid-query.
+	// the inline apply and read below, so they can never observe (or
+	// tear down) the shard mid-query.
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
-	e.sendHandoffs(full)
+	set := e.sets[s]
 	var out float64
 	var qErr error
-	w.Do(func() {
+	e.readShard(s, run, func() {
 		if set.hh == nil {
 			qErr = fmt.Errorf("Estimate: %w", ErrNotEnabled)
 			return
@@ -824,9 +863,9 @@ func (e *Engine) estimateView(i uint64) (float64, error) {
 
 // estimateBatchCutover is the batch size at or below which
 // EstimateBatch answers through per-index routed queries instead of
-// the planned fan-out: the measured crossover where batch planning
+// the planned path: the measured crossover where batch planning
 // overhead stops paying for itself. This is an ENGINE-level bar
-// (shard fan-out and plan setup), independent of the kernel layer's
+// (shard scatter and plan setup), independent of the kernel layer's
 // per-family vector cutovers (hash.KernelCutovers) — batches above it
 // still route each shard column through the fused kernels, whose own
 // calibrated bars decide scalar vs vector per call.
@@ -837,13 +876,13 @@ const estimateBatchCutover = 16
 // Estimate and the read-side mirror of Ingest's columnar plan: ONE
 // batch hash evaluation computes every index's owning shard, the index
 // set scatters by column into per-shard key lists, each involved shard
-// answers its whole column inside its own goroutine with the
-// structure's batched reader (one hash pass over the column, row-major
-// table sweeps), and the answers reassemble into input positions. Like
-// Estimate it pays no flush barrier and builds no merged view
-// (SnapshotBuilds does not move); unlike N scalar calls it crosses
-// into each involved shard once per batch instead of once per index,
-// and distinct shards answer their columns concurrently. Answers are
+// answers its whole column on the caller's goroutine under the shard's
+// lock with the structure's batched reader (one hash pass over the
+// column, row-major table sweeps), and the answers reassemble into
+// input positions. Like Estimate it pays no flush barrier and builds
+// no merged view (SnapshotBuilds does not move); unlike N scalar calls
+// it takes each involved shard's lock once per batch instead of once
+// per index and hashes each column in one pass. Answers are
 // bit-identical to calling Estimate once per index (duplicates simply
 // repeat their estimate).
 //
@@ -860,12 +899,13 @@ func (e *Engine) EstimateBatch(idxs []uint64) ([]float64, error) {
 		return nil, fmt.Errorf("EstimateBatch: %w", ErrNotEnabled)
 	}
 	// Small batches route through the scalar path: below the cutover
-	// the plan (shard hash, scatter, per-shard goroutine crossing and
-	// barrier) costs more than per-index owning-shard queries, so the
+	// the plan (shard hash, per-shard column scatter, batched reader
+	// setup) costs more than per-index owning-shard queries, so the
 	// batched entry point would be SLOWER than a caller's own Estimate
-	// loop — measured at the crossover on the regression benchmark's
-	// size=16 case. Answers are identical either way; Estimate handles
-	// the post-Restore fallback itself.
+	// loop — measured on the regression benchmark's quiet size=16 case
+	// (planned path about 1.3x the scalar loop, 2x at size=4). Answers
+	// are identical either way; Estimate handles the post-Restore
+	// fallback itself.
 	if len(idxs) <= estimateBatchCutover {
 		for j, i := range idxs {
 			v, err := e.Estimate(i)
@@ -885,50 +925,23 @@ func (e *Engine) EstimateBatch(idxs []uint64) ([]float64, error) {
 	} else if fallback {
 		return e.estimateBatchView(idxs, out)
 	}
-	// Plan: every index's owning shard in one batch hash evaluation —
-	// the same evaluator and shard-column scratch Ingest plans with,
-	// under the same lock (idxs already IS the key column, so the
-	// planKeys scratch is not needed here).
-	n := len(idxs)
-	if cap(e.planShards) < n {
-		e.planShards = make([]uint64, n)
-	}
-	shards := e.planShards[:n]
-	e.part.RangeBatch(idxs, uint64(e.opt.Shards), shards)
-	// Scatter by column into per-shard key + position lists. These
-	// outlive the lock (the shard closures consume them), so they are
-	// per-call storage, not the mu-guarded plan scratch.
-	keysBy := make([][]uint64, e.opt.Shards)
-	posBy := make([][]int, e.opt.Shards)
-	for j, s := range shards {
-		keysBy[s] = append(keysBy[s], idxs[j])
-		posBy[s] = append(posBy[s], j)
-	}
-	// Involved shards' pending runs must apply before their columns are
-	// answered — the batched form of the scalar path's early hand-off.
-	full := e.swapPendingLocked(func(s int) bool { return len(keysBy[s]) > 0 })
+	cols := e.planReadLocked(idxs)
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
-	e.sendHandoffs(full)
-	// Fan out: each involved shard answers its key column in its own
-	// goroutine, writing straight into its disjoint output positions;
-	// the barrier waits establish the happens-before for those writes.
-	var barriers []<-chan struct{}
-	for s := range keysBy {
-		if len(keysBy[s]) == 0 {
+	// Each involved shard answers its key column under its own lock,
+	// writing straight into its disjoint output positions.
+	for s, c := range cols {
+		if len(c.keys) == 0 {
 			continue
 		}
-		keys, pos, set := keysBy[s], posBy[s], e.sets[s]
-		barriers = append(barriers, e.workers[s].DoAsync(func() {
-			est := set.hh.EstimateBatch(keys)
-			for t, p := range pos {
+		set := e.sets[s]
+		e.readShard(s, c.run, func() {
+			est := set.hh.EstimateBatch(c.keys)
+			for t, p := range c.pos {
 				out[p] = est[t]
 			}
-		}))
-	}
-	for _, b := range barriers {
-		<-b
+		})
 	}
 	e.met.batchedQueries.Inc()
 	e.met.batchedNanos.ObserveSince(start)
@@ -956,9 +969,9 @@ func (e *Engine) estimateBatchView(idxs []uint64, out []float64) ([]float64, err
 // answered snapshot-free by the index's OWNING shard: the partition
 // hash that routes i's updates routes the probe, and that shard's live
 // support sampler holds i's entire substream — the same routing, and
-// the same serialize-only-with-the-owner cost, as Estimate. After
-// Restore the owning-shard invariant is gone and the probe answers
-// from the merged view.
+// the same read on the caller's goroutine under the owner's lock, as
+// Estimate. After Restore the owning-shard invariant is gone and the
+// probe answers from the merged view.
 func (e *Engine) Probe(i uint64) (bool, error) {
 	if e.opt.Structures&SupportSampler == 0 {
 		return false, fmt.Errorf("Probe: %w", ErrNotEnabled)
@@ -973,14 +986,13 @@ func (e *Engine) Probe(i uint64) (bool, error) {
 		return e.probeView(i)
 	}
 	s := e.shardOf(i)
-	full := e.swapPendingLocked(func(x int) bool { return x == s })
-	w, set := e.workers[s], e.sets[s]
+	run := e.claimLocked(s)
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
-	e.sendHandoffs(full)
+	set := e.sets[s]
 	var out bool
-	w.Do(func() { out = set.sup.Contains(i) })
+	e.readShard(s, run, func() { out = set.sup.Contains(i) })
 	e.met.pointQueries.Inc()
 	e.met.pointNanos.ObserveSince(start)
 	return out, nil
@@ -1002,15 +1014,16 @@ func (e *Engine) probeView(i uint64) (bool, error) {
 // of Probe and the membership twin of EstimateBatch: ONE batch hash
 // evaluation computes every index's owning shard, the index set
 // scatters by column into per-shard key lists, each involved shard
-// answers its whole column inside its own goroutine with the sampler's
-// batched prober (one hash pass over the column, at most one decode
-// per live recovery level), and the verdicts reassemble into input
-// positions. Like Probe it pays no flush barrier and builds no merged
-// view; unlike N scalar calls it crosses into each involved shard once
-// per batch and decodes each shard's level sketches once instead of
-// once per index. Verdicts are identical to calling Probe once per
-// index. After Restore the owning-shard invariant is gone and
-// ProbeBatch answers from the merged view, like Probe.
+// answers its whole column on the caller's goroutine under the shard's
+// lock with the sampler's batched prober (one hash pass over the
+// column, at most one decode per live recovery level), and the
+// verdicts reassemble into input positions. Like Probe it pays no
+// flush barrier and builds no merged view; unlike N scalar calls it
+// takes each involved shard's lock once per batch and decodes each
+// shard's level sketches once instead of once per index. Verdicts are
+// identical to calling Probe once per index. After Restore the
+// owning-shard invariant is gone and ProbeBatch answers from the
+// merged view, like Probe.
 func (e *Engine) ProbeBatch(idxs []uint64) ([]bool, error) {
 	out := make([]bool, len(idxs))
 	if len(idxs) == 0 {
@@ -1028,38 +1041,21 @@ func (e *Engine) ProbeBatch(idxs []uint64) ([]bool, error) {
 	} else if fallback {
 		return e.probeBatchView(idxs, out)
 	}
-	n := len(idxs)
-	if cap(e.planShards) < n {
-		e.planShards = make([]uint64, n)
-	}
-	shards := e.planShards[:n]
-	e.part.RangeBatch(idxs, uint64(e.opt.Shards), shards)
-	keysBy := make([][]uint64, e.opt.Shards)
-	posBy := make([][]int, e.opt.Shards)
-	for j, s := range shards {
-		keysBy[s] = append(keysBy[s], idxs[j])
-		posBy[s] = append(posBy[s], j)
-	}
-	full := e.swapPendingLocked(func(s int) bool { return len(keysBy[s]) > 0 })
+	cols := e.planReadLocked(idxs)
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
-	e.sendHandoffs(full)
-	var barriers []<-chan struct{}
-	for s := range keysBy {
-		if len(keysBy[s]) == 0 {
+	for s, c := range cols {
+		if len(c.keys) == 0 {
 			continue
 		}
-		keys, pos, set := keysBy[s], posBy[s], e.sets[s]
-		barriers = append(barriers, e.workers[s].DoAsync(func() {
-			verdicts := set.sup.ProbeBatch(keys)
-			for t, p := range pos {
+		set := e.sets[s]
+		e.readShard(s, c.run, func() {
+			verdicts := set.sup.ProbeBatch(c.keys)
+			for t, p := range c.pos {
 				out[p] = verdicts[t]
 			}
-		}))
-	}
-	for _, b := range barriers {
-		<-b
+		})
 	}
 	e.met.batchedQueries.Inc()
 	e.met.batchedNanos.ObserveSince(start)
@@ -1129,10 +1125,10 @@ func (e *Engine) Sample() (bounded.Sample, bool, error) {
 // the partition hash sends every update for an index to exactly one
 // shard, so the union of the shards' LIVE support recoveries covers
 // the full stream without cloning or merging a single sampler. Every
-// shard decodes its own levels inside its own goroutine (the shards
-// work concurrently), and the union reassembles outside. SnapshotBuilds
-// does not move. After Restore the partition invariant is gone and
-// Support answers from the merged view.
+// shard decodes its own levels on the caller's goroutine under that
+// shard's lock, one shard at a time, and the union reassembles as it
+// goes. SnapshotBuilds does not move. After Restore the partition
+// invariant is gone and Support answers from the merged view.
 func (e *Engine) Support() ([]uint64, error) {
 	if e.opt.Structures&SupportSampler == 0 {
 		return nil, fmt.Errorf("Support: %w", ErrNotEnabled)
@@ -1147,33 +1143,29 @@ func (e *Engine) Support() ([]uint64, error) {
 		return e.supportView()
 	}
 	// Every shard's pending run must apply before its recovery — the
-	// all-shard form of the point query's early hand-off.
-	full := e.swapPendingLocked(func(int) bool { return true })
+	// all-shard form of the point query's inline apply.
+	runs := make([]*core.Batch, len(e.workers))
+	for s := range runs {
+		runs[s] = e.claimLocked(s)
+	}
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
-	e.sendHandoffs(full)
-	results := make([][]uint64, len(e.workers))
-	barriers := make([]<-chan struct{}, len(e.workers))
-	for i, w := range e.workers {
-		i, set := i, e.sets[i]
-		barriers[i] = w.DoAsync(func() { results[i] = set.sup.Recover() })
-	}
-	for _, b := range barriers {
-		<-b
-	}
 	// Partition completeness makes the per-shard recoveries disjoint;
 	// the set union is belt and braces against a (fingerprint-verified,
 	// hence overwhelmingly unlikely) forged decode.
 	seen := make(map[uint64]struct{})
 	var out []uint64
-	for _, r := range results {
-		for _, i := range r {
-			if _, dup := seen[i]; !dup {
-				seen[i] = struct{}{}
-				out = append(out, i)
+	for s, run := range runs {
+		set := e.sets[s]
+		e.readShard(s, run, func() {
+			for _, i := range set.sup.Recover() {
+				if _, dup := seen[i]; !dup {
+					seen[i] = struct{}{}
+					out = append(out, i)
+				}
 			}
-		}
+		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	e.met.batchedQueries.Inc()

@@ -48,13 +48,14 @@ type engineMetrics struct {
 
 // ShardStats is one shard's slice of an engine Stats snapshot.
 type ShardStats struct {
-	// BatchesApplied and KeysApplied count work the shard goroutine has
-	// finished; after Flush they are exact (sum of BatchesApplied over
-	// shards equals BatchesSent).
+	// BatchesApplied and KeysApplied count batches the shard has
+	// finished applying, on its goroutine or inline in a routed read;
+	// after Flush they are exact (sum of BatchesApplied over shards
+	// equals BatchesSent).
 	BatchesApplied int64
 	KeysApplied    int64
-	// BusyNanos is time the shard goroutine spent applying batches;
-	// divide by wall time for occupancy.
+	// BusyNanos is time spent applying this shard's batches; divide by
+	// wall time for occupancy.
 	BusyNanos int64
 	// SendStalls counts hand-offs that found this shard's inbox full —
 	// the backpressure signal.
@@ -77,8 +78,9 @@ type Stats struct {
 
 	// IngestCalls counts Ingest invocations that accepted at least one
 	// update; IngestedKeys the updates they carried; BatchesSent the
-	// columnar batches handed to shard inboxes (full runs plus flush and
-	// early-hand-off remainders).
+	// columnar batches handed to shards: full runs and flush remainders
+	// pushed to a shard inbox, plus pending runs a routed read applied
+	// inline under the shard's lock.
 	IngestCalls  int64
 	IngestedKeys int64
 	BatchesSent  int64
@@ -194,7 +196,7 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 	m := &e.met
 	c("repro_engine_ingest_calls_total", "Ingest invocations accepted", m.ingestCalls.Load, inst)
 	c("repro_engine_ingested_keys_total", "updates accepted by Ingest", m.ingestedKeys.Load, inst)
-	c("repro_engine_batches_sent_total", "columnar batches handed to shard inboxes", m.batchesSent.Load, inst)
+	c("repro_engine_batches_sent_total", "columnar batches handed to shards (inbox pushes plus pending runs applied inline by routed reads)", m.batchesSent.Load, inst)
 	h("repro_engine_ingest_seconds", "wall time per Ingest call", m.ingestNanos.Snapshot, inst)
 	c("repro_engine_queries_total", "queries by path", m.pointQueries.Load, inst, obs.Label{Key: "path", Value: "point"})
 	c("repro_engine_queries_total", "queries by path", m.batchedQueries.Load, inst, obs.Label{Key: "path", Value: "batched"})
@@ -217,7 +219,7 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 		sh := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
 		c("repro_engine_shard_batches_applied_total", "batches applied per shard", wm.BatchesApplied.Load, inst, sh)
 		c("repro_engine_shard_keys_applied_total", "keys applied per shard", wm.KeysApplied.Load, inst, sh)
-		c("repro_engine_shard_busy_nanos_total", "shard goroutine time inside apply", wm.BusyNanos.Load, inst, sh)
+		c("repro_engine_shard_busy_nanos_total", "time spent applying this shard's batches, on its goroutine or inline in routed reads", wm.BusyNanos.Load, inst, sh)
 		c("repro_engine_shard_send_stalls_total", "hand-offs that found the inbox full", wm.SendStalls.Load, inst, sh)
 		r.GaugeFunc(owner, "repro_engine_shard_queue_depth", "inbox occupancy per shard",
 			func() int64 { return int64(w.QueueDepth()) }, inst, sh)

@@ -9,16 +9,24 @@
 // every update's shard key in one batch hash evaluation, then
 // scattering indices and deltas into per-shard columns) from a bounded
 // channel (the bound IS the backpressure: when a shard falls behind,
-// senders block instead of queueing unbounded memory) and executes
-// closures in the owner goroutine between batches, which gives callers
-// three primitives for free:
+// senders block instead of queueing unbounded memory). A per-shard
+// mutex serializes every use of the structure set: the worker
+// goroutine holds it while it processes one inbox message, and a
+// caller holds it for the length of a Run. That gives callers three
+// primitives:
 //
-//   - a flush barrier: Do(func(){}) returns only after every batch sent
-//     before it has been applied,
-//   - race-free snapshots: Do(func(){ snap = structures.Clone() }) runs
-//     serialized with ingest, so queries never observe a torn sketch, and
-//   - snapshot-free point queries: Do(func(){ v = structures.Query(i) })
-//     reads the live structure between batches — no clone, no merge.
+//   - a flush barrier: <-DoAsync(nil) returns only after every batch
+//     sent before it has been applied,
+//   - race-free snapshots: DoAsync(func(){ snap = structures.Clone() })
+//     runs serialized with ingest, so queries never observe a torn
+//     sketch, and
+//   - snapshot-free point queries on the caller's goroutine:
+//     Run(func(){ v = structures.Query(i) }) waits out the messages
+//     already committed to the inbox and reads the live structure — no
+//     clone, no merge, no wake-up of the worker goroutine.
+//     Lock and RunLocked split it in two, so a caller can take the lock
+//     inside its own critical section and apply a batch it holds
+//     inline before reading.
 //
 // The worker deliberately knows nothing about which structures it
 // feeds: it moves batches and closures, the engine supplies the
@@ -28,6 +36,7 @@ package shard
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -49,17 +58,19 @@ type message struct {
 }
 
 // Metrics is a worker's observability cell block: per-worker counters
-// written only by the owner goroutine (apply side) or the sending
+// written only under the worker's mutex (apply side) or by the sending
 // goroutine (stall side). Each obs.Counter is cache-line padded, so
 // adjacent workers' metrics never false-share. Under -tags noobs the
 // whole struct is zero-size and every recording call compiles out.
 type Metrics struct {
-	// BatchesApplied and KeysApplied count work the owner goroutine has
-	// finished applying (a flush barrier makes them exact totals).
+	// BatchesApplied and KeysApplied count batches applied, by the owner
+	// goroutine or inline in RunLocked (a flush barrier makes them exact
+	// totals).
 	BatchesApplied obs.Counter
 	KeysApplied    obs.Counter
-	// BusyNanos accumulates time the owner goroutine spent inside
-	// UpdateColumns — occupancy = BusyNanos / wall time.
+	// BusyNanos accumulates time spent inside UpdateColumns, on the
+	// owner goroutine or inline in RunLocked — occupancy = BusyNanos /
+	// wall time.
 	BusyNanos obs.Counter
 	// SendStalls counts Sends that found the inbox full and had to
 	// block — the backpressure signal.
@@ -67,12 +78,27 @@ type Metrics struct {
 }
 
 // Worker is a single-writer shard: one goroutine, one Ingester, one
-// bounded inbox.
+// bounded inbox, and one mutex that serializes the goroutine with Run.
 type Worker struct {
 	in      chan message
 	wg      sync.WaitGroup
+	ing     Ingester
 	recycle func(*core.Batch)
 	m       Metrics
+
+	// mu is held by the worker goroutine while it processes a message
+	// and from Lock (or Run) to the end of RunLocked; progress is
+	// signalled each time processed advances.
+	mu       sync.Mutex
+	progress sync.Cond
+	// reserved counts messages committed to the inbox: it is incremented
+	// BEFORE each channel push, so a Send or DoAsync that has returned
+	// is already counted. processed (guarded by mu) counts messages the
+	// worker goroutine has finished. A message the goroutine has
+	// received but not yet locked for is counted by the first and not
+	// the second, which is how Run sees it.
+	reserved  atomic.Uint64
+	processed uint64
 }
 
 // New starts a worker goroutine that feeds ing. queue is the inbox
@@ -85,41 +111,52 @@ func New(ing Ingester, queue int, recycle func(*core.Batch)) *Worker {
 
 // NewNamed is New with an observability name: when non-empty, the
 // worker goroutine labels itself with the pprof label shard=name (CPU
-// profiles attribute samples per shard) and wraps each batch apply in
-// the execution-trace region "shard.apply" so `go tool trace` shows
+// profiles attribute samples per shard). Every batch apply, on the
+// worker goroutine or inline in RunLocked, is wrapped in the
+// execution-trace region "shard.apply" so `go tool trace` shows
 // per-shard apply spans.
 func NewNamed(ing Ingester, queue int, recycle func(*core.Batch), name string) *Worker {
 	if queue < 1 {
 		queue = 1
 	}
-	w := &Worker{in: make(chan message, queue), recycle: recycle}
+	w := &Worker{in: make(chan message, queue), ing: ing, recycle: recycle}
+	w.progress.L = &w.mu
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
 		if name != "" {
 			obs.LabelGoroutine("shard", name)
 		}
-		ctx := context.Background()
 		for m := range w.in {
+			w.mu.Lock()
 			if m.batch != nil {
-				start := obs.Now()
-				span := obs.StartRegion(ctx, "shard.apply")
-				ing.UpdateColumns(m.batch)
-				span.End()
-				w.m.BusyNanos.Add(obs.Now() - start)
-				w.m.BatchesApplied.Inc()
-				w.m.KeysApplied.Add(int64(m.batch.Len()))
-				if w.recycle != nil {
-					w.recycle(m.batch)
-				}
+				w.apply(m.batch)
 			}
 			if m.do != nil {
 				m.do()
 				close(m.done)
 			}
+			w.processed++
+			w.mu.Unlock()
+			w.progress.Broadcast()
 		}
 	}()
 	return w
+}
+
+// apply feeds one nonempty batch to the Ingester and recycles it. The
+// caller holds w.mu.
+func (w *Worker) apply(b *core.Batch) {
+	start := obs.Now()
+	span := obs.StartRegion(context.Background(), "shard.apply")
+	w.ing.UpdateColumns(b)
+	span.End()
+	w.m.BusyNanos.Add(obs.Now() - start)
+	w.m.BatchesApplied.Inc()
+	w.m.KeysApplied.Add(int64(b.Len()))
+	if w.recycle != nil {
+		w.recycle(b)
+	}
 }
 
 // Metrics returns the worker's counters; readers may load them at any
@@ -146,6 +183,7 @@ func (w *Worker) Send(b *core.Batch) {
 		return
 	}
 	msg := message{batch: b}
+	w.reserved.Add(1)
 	if obs.Enabled {
 		// Try-then-block: the fast path is one select that succeeds
 		// immediately; only a full inbox pays the second (blocking) send,
@@ -160,28 +198,52 @@ func (w *Worker) Send(b *core.Batch) {
 	w.in <- msg
 }
 
-// Do runs f in the worker goroutine after every previously sent batch
-// has been applied, and returns once f has run. With f == nil it is a
+// DoAsync enqueues f to run in the worker goroutine after every
+// previously sent batch has been applied, and returns immediately with
+// the channel that closes when f has run — the fan-out form used to
+// flush or snapshot many shards concurrently. With f == nil it is a
 // pure flush barrier.
-func (w *Worker) Do(f func()) {
-	if f == nil {
-		f = func() {}
-	}
-	done := make(chan struct{})
-	w.in <- message{do: f, done: done}
-	<-done
-}
-
-// DoAsync enqueues f like Do but returns immediately with the channel
-// that closes when f has run — the fan-out form used to snapshot many
-// shards concurrently.
 func (w *Worker) DoAsync(f func()) <-chan struct{} {
 	if f == nil {
 		f = func() {}
 	}
 	done := make(chan struct{})
+	w.reserved.Add(1)
 	w.in <- message{do: f, done: done}
 	return done
+}
+
+// Run runs f on the caller's goroutine under the worker's mutex, after
+// every message committed to the inbox before the call has been
+// processed: Lock followed by RunLocked(nil, f).
+func (w *Worker) Run(f func()) {
+	w.mu.Lock()
+	w.RunLocked(nil, f)
+}
+
+// Lock takes the worker's mutex for a later RunLocked. A caller takes
+// it inside its own critical section when a Run that enters that
+// section after it must not read the shard before this caller's batch
+// is applied: the later Run then queues behind the lock.
+func (w *Worker) Lock() { w.mu.Lock() }
+
+// RunLocked, with the mutex held (see Lock), applies b inline when it
+// is non-nil (ownership transfers as with Send), waits until every
+// message committed to the inbox before the call has been processed,
+// runs f, and releases the mutex. Queued messages are left to the
+// worker goroutine, which keeps the inbox strictly FIFO; the wait
+// releases the mutex, and b is applied before it, so a Run that takes
+// the mutex meanwhile already sees b. f must not call back into the
+// Worker.
+func (w *Worker) RunLocked(b *core.Batch, f func()) {
+	if b != nil {
+		w.apply(b)
+	}
+	for want := w.reserved.Load(); w.processed < want; {
+		w.progress.Wait()
+	}
+	f()
+	w.mu.Unlock()
 }
 
 // Close stops the worker after draining every queued message and waits

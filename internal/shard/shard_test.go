@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func TestWorkerAppliesInOrder(t *testing.T) {
 		}
 		w.Send(batch)
 	}
-	w.Do(nil) // flush barrier
+	<-w.DoAsync(nil) // flush barrier
 	if len(rec.applied) != len(want) {
 		t.Fatalf("applied %d updates, want %d", len(rec.applied), len(want))
 	}
@@ -54,7 +55,7 @@ func TestWorkerAppliesInOrder(t *testing.T) {
 	w.Close()
 }
 
-// TestWorkerDoIsBarrier checks Do observes every previously sent batch.
+// TestWorkerDoIsBarrier checks DoAsync observes every previously sent batch.
 func TestWorkerDoIsBarrier(t *testing.T) {
 	rec := &recorder{}
 	w := New(rec, 4, core.PutBatch)
@@ -62,9 +63,9 @@ func TestWorkerDoIsBarrier(t *testing.T) {
 		w.Send(planned(stream.Update{Index: uint64(b), Delta: 1}))
 	}
 	var seen int
-	w.Do(func() { seen = len(rec.applied) })
+	<-w.DoAsync(func() { seen = len(rec.applied) })
 	if seen != 7 {
-		t.Fatalf("Do observed %d applied updates, want 7", seen)
+		t.Fatalf("DoAsync observed %d applied updates, want 7", seen)
 	}
 	w.Close()
 }
@@ -105,7 +106,7 @@ func TestWorkerBackpressure(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Send still blocked after drain")
 	}
-	w.Do(nil)
+	<-w.DoAsync(nil)
 	if got := ing.n.Load(); got != 3 {
 		t.Fatalf("ingested %d updates, want 3", got)
 	}
@@ -122,7 +123,7 @@ func TestWorkerRecycle(t *testing.T) {
 		w.Send(planned(stream.Update{Index: uint64(b), Delta: 1}))
 	}
 	w.Send(core.GetBatch()) // empty: recycled without a queue round-trip
-	w.Do(nil)
+	<-w.DoAsync(nil)
 	if got := recycled.Load(); got != 6 {
 		t.Fatalf("recycled %d batches, want 6", got)
 	}
@@ -130,4 +131,86 @@ func TestWorkerRecycle(t *testing.T) {
 		t.Fatalf("applied %d batches, want 5", rec.batches)
 	}
 	w.Close()
+}
+
+// keyCounter counts applied keys; the worker's mutex guards n.
+type keyCounter struct{ n int64 }
+
+func (k *keyCounter) UpdateColumns(b *core.Batch) { k.n += int64(b.Len()) }
+
+// TestWorkerRunObservesCommitted hammers Run and RunLocked against
+// concurrent Send and DoAsync callers on a small inbox. Every read must
+// observe every message whose Send or DoAsync returned before it began
+// — including a message the worker goroutine has received but not yet
+// locked for — and RunLocked must apply its own batch before f runs.
+func TestWorkerRunObservesCommitted(t *testing.T) {
+	ing := &keyCounter{}
+	w := New(ing, 2, core.PutBatch)
+	const senders, sends, doers, dos = 4, 400, 2, 200
+	var sentKeys, doneDos atomic.Int64
+	closures := 0 // DoAsync closures run so far; guarded by the worker's mutex
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < sends; k++ {
+				n := 1 + (g+k)%3
+				b := core.GetBatch()
+				for j := 0; j < n; j++ {
+					b.Append(uint64(g<<20|k<<2|j), 1)
+				}
+				w.Send(b)
+				sentKeys.Add(int64(n))
+			}
+		}(g)
+	}
+	for g := 0; g < doers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < dos; k++ {
+				done := w.DoAsync(func() { closures++ })
+				if k%2 == g%2 {
+					<-done
+				}
+				doneDos.Add(1)
+			}
+		}(g)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+
+	var ownKeys int64
+	var runs, misses int
+	for running := true; running; runs++ {
+		select {
+		case <-finished:
+			running = false // one last Run after every sender returned
+		default:
+		}
+		wantKeys, wantDos := sentKeys.Load(), doneDos.Load()
+		check := func() {
+			if ing.n < wantKeys+ownKeys || int64(closures) < wantDos {
+				misses++
+			}
+		}
+		if runs%2 == 0 {
+			w.Run(check)
+			continue
+		}
+		w.Lock()
+		ownKeys++
+		w.RunLocked(planned(stream.Update{Index: uint64(1<<40 | runs), Delta: 1}), check)
+	}
+	w.Close()
+	if misses > 0 {
+		t.Fatalf("%d of %d Runs missed a committed message", misses, runs)
+	}
+	if want := sentKeys.Load() + ownKeys; ing.n != want {
+		t.Fatalf("applied %d keys, want %d", ing.n, want)
+	}
+	if closures != doers*dos {
+		t.Fatalf("ran %d DoAsync closures, want %d", closures, doers*dos)
+	}
 }
