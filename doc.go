@@ -294,8 +294,9 @@
 // Engine.Estimate routes to the index's OWNING shard (the partition
 // hash sends every update for an index to one shard) and runs on the
 // caller's goroutine under that shard's lock, after applying the
-// shard's pending run inline — no all-shard flush barrier, no wake-up
-// of the shard goroutine, no merged-view rebuild
+// shard's pending run inline — no engine lock held while it waits, no
+// all-shard flush barrier, no wake-up of the shard goroutine, no
+// merged-view rebuild
 // (Stats().SnapshotBuilds counts rebuilds; routed queries never move
 // it). Engine.EstimateBatch is the batched form and the read-side
 // mirror of Ingest: one hash evaluation computes every queried index's
@@ -307,7 +308,9 @@
 // amortize across the batch.
 // Engine.Probe(i) routes a support membership probe the same way, and
 // Engine.Support unions the shards' live recoveries (partition
-// completeness makes them disjoint) without a single clone or merge.
+// completeness makes them disjoint) without a single clone or merge;
+// Support and Engine.ProbeBatch decode in the shard goroutines, all
+// shards concurrently, because a sampler decode costs milliseconds.
 // Global queries (HeavyHitters, L1, ...) still answer from the merged
 // snapshot, behind a generation-tagged cache that is checked before
 // the engine mutex, so query bursts do not stall producers.

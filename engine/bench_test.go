@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	bounded "repro"
 )
@@ -207,6 +208,133 @@ func benchEstimateBatch(b *testing.B, flush bool) {
 				}
 				return nil
 			})
+		})
+	}
+}
+
+// readShardCounts are the shard counts the read benchmarks run at: one
+// shard per CPU, and 4.
+func readShardCounts() []int {
+	if n := runtime.GOMAXPROCS(0); n != 4 {
+		return []int{n, 4}
+	}
+	return []int{4}
+}
+
+// newReadEngine builds a heavy-hitters + support-sampler engine with
+// the whole Figure 1 stream ingested and flushed.
+func newReadEngine(b *testing.B, shards int) *Engine {
+	s, _ := fig1Stream(42)
+	e, err := New(testCfg, Options{
+		Shards: shards, BatchSize: 256, Queue: 8,
+		Structures: HeavyHitters | SupportSampler,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Ingest(s.Updates); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkEngineSupport times one all-shard Support recovery on a
+// flushed engine: every shard decodes its own support sampler, so the
+// per-shard decodes either overlap or add up depending on where they
+// run. ns/op is per Support call.
+func BenchmarkEngineSupport(b *testing.B) {
+	for _, shards := range readShardCounts() {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			e := newReadEngine(b, shards)
+			defer e.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Support(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineProbeBatch times one 256-index ProbeBatch on a flushed
+// engine, the membership twin of BenchmarkEngineEstimateBatch's quiet
+// batched read. ns/op is per call.
+func BenchmarkEngineProbeBatch(b *testing.B) {
+	idxs := make([]uint64, 256)
+	for j := range idxs {
+		idxs[j] = uint64(j*2654435761) % (1 << 16)
+	}
+	for _, shards := range readShardCounts() {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			e := newReadEngine(b, shards)
+			defer e.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ProbeBatch(idxs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineEstimateBatchIngesting times a 256-index EstimateBatch
+// while a producer goroutine ingests 512-update chunks without pause,
+// so reads and shard applies contend for the shards. ns/op is per
+// read; producer_keys/s is the producer's ingest rate over the same
+// interval, so a read path that stalls ingest shows there.
+func BenchmarkEngineEstimateBatchIngesting(b *testing.B) {
+	s, _ := fig1Stream(42)
+	idxs := make([]uint64, 256)
+	for j := range idxs {
+		idxs[j] = uint64(j*2654435761) % (1 << 16)
+	}
+	const chunk = 512
+	for _, shards := range readShardCounts() {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			e, err := New(testCfg, Options{Shards: shards, BatchSize: 256, Queue: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			var stop atomic.Bool
+			var ingested atomic.Int64
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for off := 0; !stop.Load(); off += chunk {
+					if off+chunk > len(s.Updates) {
+						off = 0
+					}
+					if err := e.Ingest(s.Updates[off : off+chunk]); err != nil {
+						b.Error(err)
+						return
+					}
+					ingested.Add(chunk)
+				}
+			}()
+			b.ReportAllocs()
+			b.ResetTimer()
+			from := ingested.Load()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.EstimateBatch(idxs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			elapsed := time.Since(start)
+			keys := ingested.Load() - from
+			b.StopTimer()
+			stop.Store(true)
+			wg.Wait()
+			b.ReportMetric(float64(keys)/elapsed.Seconds(), "producer_keys/s")
 		})
 	}
 }

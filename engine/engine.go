@@ -27,7 +27,8 @@
 //	      Ingest: one hash evaluation computes every queried index's
 //	      shard, columns scatter, each shard answers its column on the
 //	      caller's goroutine under that shard's lock, results
-//	      reassemble in input order.
+//	      reassemble in input order. ProbeBatch and Support decode in
+//	      the shard goroutines, concurrently.
 //
 // Each shard goroutine receives ready-to-apply column batches and fans
 // them to its structures' UpdateColumns — the plan → hash → apply
@@ -384,7 +385,7 @@ type Engine struct {
 	planKeys   []uint64
 	planShards []uint64
 	// inflight counts producers handing filled buffers to shard inboxes
-	// and routed reads running under a shard lock outside e.mu;
+	// and routed reads running outside e.mu;
 	// flushLocked waits for them so a flush (and therefore a
 	// merged view, and Close) covers every Ingest whose locked section
 	// completed.
@@ -522,11 +523,12 @@ func (e *Engine) Ingest(batch []bounded.Update) error {
 	e.part.RangeBatch(keys, uint64(e.opt.Shards), shards)
 	// Scatter under the lock; hand filled buffers off OUTSIDE it, so a
 	// full shard inbox blocks only this producer — other producers keep
-	// partitioning and queries keep answering (they wait, via inflight,
-	// only when they need a fresh view). Concurrent producers may then
-	// interleave their filled buffers in a shard's inbox in either
-	// order; every structure's state is a commutative fold of updates,
-	// so shard state is unaffected.
+	// partitioning, and queries keep answering (a merged-view query
+	// waits, via inflight, only when it needs a fresh view; a routed
+	// read waits only for the inboxes of the shards it reads).
+	// Concurrent producers may then interleave their filled buffers in a
+	// shard's inbox in either order; every structure's state is a
+	// commutative fold of updates, so shard state is unaffected.
 	type sendJob struct {
 		shard int
 		buf   *core.Batch
@@ -712,44 +714,31 @@ func (e *Engine) lockRouted() (fallback bool, err error) {
 }
 
 // claimLocked detaches shard s's pending run for a routed read,
-// replacing it with a fresh pooled batch, and returns nil when the run
-// is empty. A nonempty run counts as a batch sent, and claimLocked
-// takes the shard's lock before the caller releases e.mu: the read
-// applies the run inline (readShard) — read-your-writes without an
-// inbox round trip — and any read that enters e.mu after this one
-// queues behind that lock, so it cannot read the shard before the run
-// is applied. The caller holds e.mu and must register with e.inflight
-// before releasing it.
-func (e *Engine) claimLocked(s int) *core.Batch {
+// replacing it with a fresh pooled batch, and stashes it with the
+// shard's worker; an empty run is left in place. A stashed run counts
+// as a batch sent. The read's Run applies it inline — read-your-writes
+// without an inbox round trip — and so does any Run that starts after
+// the caller releases e.mu, so no later read can miss it either. The
+// stash never waits on the shard, so e.mu is never held across one.
+// The caller holds e.mu and must register with e.inflight before
+// releasing it.
+func (e *Engine) claimLocked(s int) {
 	p := e.pending[s]
 	if p.Len() == 0 {
-		return nil
+		return
 	}
 	e.pending[s] = core.GetBatch()
 	e.met.batchesSent.Inc()
-	e.workers[s].Lock()
-	return p
-}
-
-// readShard runs f under shard s's lock on the caller's goroutine,
-// after run — claimLocked's result, whose lock it inherits — has been
-// applied and every message already committed to the shard's inbox
-// has been processed.
-func (e *Engine) readShard(s int, run *core.Batch, f func()) {
-	if run == nil {
-		e.workers[s].Run(f)
-		return
-	}
-	e.workers[s].RunLocked(run, f)
+	e.workers[s].Stash(p)
 }
 
 // shardColumn is one shard's slice of a batched routed read: the
-// queried keys it owns, their positions in the input, and the pending
-// run detached for it.
+// queried keys it owns, their positions in the input, and the shard's
+// inbox mark when the read was planned.
 type shardColumn struct {
 	keys []uint64
 	pos  []int
-	run  *core.Batch
+	mark uint64
 }
 
 // planReadLocked plans a batched routed read: every index's owning
@@ -757,12 +746,10 @@ type shardColumn struct {
 // shard-column scratch Ingest plans with, under the same lock (idxs
 // already IS the key column, so the planKeys scratch is not needed) —
 // then a scatter of the index column by owning shard, and a claim of
-// each involved shard's pending run in ascending shard order, the
-// batched form of the scalar read's inline apply. The caller reads
-// the columns in that order too: with every claim made under e.mu, two
-// reads then never wait on each other's shard locks in a cycle. The
-// columns outlive the lock, so they are per-call storage, not the
-// mu-guarded plan scratch. The caller holds e.mu.
+// each involved shard's pending run, the batched form of the scalar
+// read's inline apply. The columns outlive the lock, so they are
+// per-call storage, not the mu-guarded plan scratch. The caller holds
+// e.mu.
 func (e *Engine) planReadLocked(idxs []uint64) []shardColumn {
 	n := len(idxs)
 	if cap(e.planShards) < n {
@@ -777,7 +764,8 @@ func (e *Engine) planReadLocked(idxs []uint64) []shardColumn {
 	}
 	for s := range cols {
 		if len(cols[s].keys) > 0 {
-			cols[s].run = e.claimLocked(s)
+			e.claimLocked(s)
+			cols[s].mark = e.workers[s].Mark()
 		}
 	}
 	return cols
@@ -825,7 +813,7 @@ func (e *Engine) Estimate(i uint64) (float64, error) {
 		return e.estimateView(i)
 	}
 	s := e.shardOf(i)
-	run := e.claimLocked(s)
+	e.claimLocked(s)
 	// Registering with inflight keeps Flush/Close honest: they wait for
 	// the inline apply and read below, so they can never observe (or
 	// tear down) the shard mid-query.
@@ -835,7 +823,7 @@ func (e *Engine) Estimate(i uint64) (float64, error) {
 	set := e.sets[s]
 	var out float64
 	var qErr error
-	e.readShard(s, run, func() {
+	e.workers[s].Run(func() {
 		if set.hh == nil {
 			qErr = fmt.Errorf("Estimate: %w", ErrNotEnabled)
 			return
@@ -936,7 +924,7 @@ func (e *Engine) EstimateBatch(idxs []uint64) ([]float64, error) {
 			continue
 		}
 		set := e.sets[s]
-		e.readShard(s, c.run, func() {
+		e.workers[s].RunAfter(c.mark, func() {
 			est := set.hh.EstimateBatch(c.keys)
 			for t, p := range c.pos {
 				out[p] = est[t]
@@ -986,13 +974,13 @@ func (e *Engine) Probe(i uint64) (bool, error) {
 		return e.probeView(i)
 	}
 	s := e.shardOf(i)
-	run := e.claimLocked(s)
+	e.claimLocked(s)
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
 	set := e.sets[s]
 	var out bool
-	e.readShard(s, run, func() { out = set.sup.Contains(i) })
+	e.workers[s].Run(func() { out = set.sup.Contains(i) })
 	e.met.pointQueries.Inc()
 	e.met.pointNanos.ObserveSince(start)
 	return out, nil
@@ -1014,16 +1002,16 @@ func (e *Engine) probeView(i uint64) (bool, error) {
 // of Probe and the membership twin of EstimateBatch: ONE batch hash
 // evaluation computes every index's owning shard, the index set
 // scatters by column into per-shard key lists, each involved shard
-// answers its whole column on the caller's goroutine under the shard's
-// lock with the sampler's batched prober (one hash pass over the
-// column, at most one decode per live recovery level), and the
-// verdicts reassemble into input positions. Like Probe it pays no
-// flush barrier and builds no merged view; unlike N scalar calls it
-// takes each involved shard's lock once per batch and decodes each
-// shard's level sketches once instead of once per index. Verdicts are
-// identical to calling Probe once per index. After Restore the
-// owning-shard invariant is gone and ProbeBatch answers from the
-// merged view, like Probe.
+// answers its whole column in the shard's goroutine with the sampler's
+// batched prober (one hash pass over the column, at most one decode per
+// live recovery level), and the verdicts reassemble into input
+// positions. The decodes cost milliseconds, so the involved shards run
+// them concurrently rather than one after another on the caller. Like
+// Probe it pays no flush barrier and builds no merged view; unlike N
+// scalar calls it decodes each shard's level sketches once per batch
+// instead of once per index. Verdicts are identical to calling Probe
+// once per index. After Restore the owning-shard invariant is gone and
+// ProbeBatch answers from the merged view, like Probe.
 func (e *Engine) ProbeBatch(idxs []uint64) ([]bool, error) {
 	out := make([]bool, len(idxs))
 	if len(idxs) == 0 {
@@ -1045,17 +1033,25 @@ func (e *Engine) ProbeBatch(idxs []uint64) ([]bool, error) {
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
+	// A probe decodes every live recovery level of the shard's sampler,
+	// which costs milliseconds, so the involved shards decode
+	// concurrently in their own goroutines; each drains its stashed run
+	// before the closure runs.
+	var barriers []<-chan struct{}
 	for s, c := range cols {
 		if len(c.keys) == 0 {
 			continue
 		}
 		set := e.sets[s]
-		e.readShard(s, c.run, func() {
+		barriers = append(barriers, e.workers[s].DoAsync(func() {
 			verdicts := set.sup.ProbeBatch(c.keys)
 			for t, p := range c.pos {
 				out[p] = verdicts[t]
 			}
-		})
+		}))
+	}
+	for _, b := range barriers {
+		<-b
 	}
 	e.met.batchedQueries.Inc()
 	e.met.batchedNanos.ObserveSince(start)
@@ -1125,10 +1121,11 @@ func (e *Engine) Sample() (bounded.Sample, bool, error) {
 // the partition hash sends every update for an index to exactly one
 // shard, so the union of the shards' LIVE support recoveries covers
 // the full stream without cloning or merging a single sampler. Every
-// shard decodes its own levels on the caller's goroutine under that
-// shard's lock, one shard at a time, and the union reassembles as it
-// goes. SnapshotBuilds does not move. After Restore the partition
-// invariant is gone and Support answers from the merged view.
+// shard decodes its own levels inside its own goroutine, after its
+// pending run (the shards work concurrently, as in ProbeBatch), and
+// the union reassembles outside. SnapshotBuilds does not move. After
+// Restore the partition invariant is gone and Support answers from the
+// merged view.
 func (e *Engine) Support() ([]uint64, error) {
 	if e.opt.Structures&SupportSampler == 0 {
 		return nil, fmt.Errorf("Support: %w", ErrNotEnabled)
@@ -1144,28 +1141,35 @@ func (e *Engine) Support() ([]uint64, error) {
 	}
 	// Every shard's pending run must apply before its recovery — the
 	// all-shard form of the point query's inline apply.
-	runs := make([]*core.Batch, len(e.workers))
-	for s := range runs {
-		runs[s] = e.claimLocked(s)
+	for s := range e.workers {
+		e.claimLocked(s)
 	}
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
+	// Like ProbeBatch's, the decodes run concurrently in the shard
+	// goroutines, each after its shard's stashed run.
+	results := make([][]uint64, len(e.workers))
+	barriers := make([]<-chan struct{}, len(e.workers))
+	for s, w := range e.workers {
+		s, set := s, e.sets[s]
+		barriers[s] = w.DoAsync(func() { results[s] = set.sup.Recover() })
+	}
+	for _, b := range barriers {
+		<-b
+	}
 	// Partition completeness makes the per-shard recoveries disjoint;
 	// the set union is belt and braces against a (fingerprint-verified,
 	// hence overwhelmingly unlikely) forged decode.
 	seen := make(map[uint64]struct{})
 	var out []uint64
-	for s, run := range runs {
-		set := e.sets[s]
-		e.readShard(s, run, func() {
-			for _, i := range set.sup.Recover() {
-				if _, dup := seen[i]; !dup {
-					seen[i] = struct{}{}
-					out = append(out, i)
-				}
+	for _, r := range results {
+		for _, i := range r {
+			if _, dup := seen[i]; !dup {
+				seen[i] = struct{}{}
+				out = append(out, i)
 			}
-		})
+		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	e.met.batchedQueries.Inc()

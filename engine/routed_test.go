@@ -243,3 +243,163 @@ func checkReads(t *testing.T, e *Engine, shards, round int, keys []uint64, f []i
 	}
 	return true
 }
+
+// TestRoutedReadsConcurrentProducers races routed reads against
+// several producers at 4 shards, with runs small enough that claimed
+// runs, stashed runs and full inboxes overlap constantly. Producers
+// only insert, each on its own keys, and raise a key's bound before
+// ingesting it, so no read may ever exceed the bound read after it: a
+// run applied twice, or a torn read, shows as an overshoot. Once every
+// producer is done and the engine is flushed, Σ BatchesApplied ==
+// BatchesSent and every routed read must be exact.
+func TestRoutedReadsConcurrentProducers(t *testing.T) {
+	const shards, producers, perProducer, rounds = 4, 4, 6, 150
+	e, err := New(testCfg, Options{
+		Shards: shards, BatchSize: 8, Queue: 1,
+		Structures: HeavyHitters | SupportSampler,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	keys := make([]uint64, producers*perProducer)
+	for j := range keys {
+		keys[j] = uint64(j*7919+3) % (1 << 16)
+	}
+	// bound[j] is key j's ingested mass plus the mass of any Ingest of
+	// it in progress: an upper bound on what a read may see.
+	bound := make([]atomic.Int64, len(keys))
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	read := func(who string, js []int) {
+		// Each index appears three times, so the batch is above the
+		// scalar cutover and its duplicates must agree.
+		idxs := make([]uint64, 0, 3*len(js))
+		for r := 0; r < 3; r++ {
+			for _, j := range js {
+				idxs = append(idxs, keys[j])
+			}
+		}
+		est, err := e.EstimateBatch(idxs)
+		if err != nil {
+			t.Errorf("%s: EstimateBatch: %v", who, err)
+			failed.Store(true)
+			return
+		}
+		probes, err := e.ProbeBatch(idxs)
+		if err != nil {
+			t.Errorf("%s: ProbeBatch: %v", who, err)
+			failed.Store(true)
+			return
+		}
+		sup, err := e.Support()
+		if err != nil {
+			t.Errorf("%s: Support: %v", who, err)
+			failed.Store(true)
+			return
+		}
+		ever := make(map[uint64]bool, len(keys))
+		for j, k := range keys {
+			ever[k] = bound[j].Load() > 0
+		}
+		for _, k := range sup {
+			if !ever[k] {
+				t.Errorf("%s: Support returned %d, never ingested", who, k)
+				failed.Store(true)
+			}
+		}
+		n := len(js)
+		for p, j := range js {
+			b := bound[j].Load()
+			if est[p] < 0 || est[p] > float64(b) {
+				t.Errorf("%s: key %d estimated %v, at most %d ingested", who, keys[j], est[p], b)
+				failed.Store(true)
+			}
+			if est[p] != est[p+n] || est[p] != est[p+2*n] || probes[p] != probes[p+n] || probes[p] != probes[p+2*n] {
+				t.Errorf("%s: duplicates of key %d disagree: %v %v %v / %v %v %v", who, keys[j],
+					est[p], est[p+n], est[p+2*n], probes[p], probes[p+n], probes[p+2*n])
+				failed.Store(true)
+			}
+			if probes[p] && b == 0 {
+				t.Errorf("%s: Probe(%d) true, never ingested", who, keys[j])
+				failed.Store(true)
+			}
+		}
+	}
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			own := make([]int, perProducer)
+			for q := range own {
+				own[q] = p*perProducer + q
+			}
+			for r := 0; r < rounds && !failed.Load(); r++ {
+				n := 1 + r%3
+				if r%10 == 5 {
+					n = 24
+				}
+				batch := make([]bounded.Update, n)
+				for u := range batch {
+					j := own[(r+u*5)%perProducer]
+					bound[j].Add(1)
+					batch[u] = bounded.Update{Index: keys[j], Delta: 1}
+				}
+				if err := e.Ingest(batch); err != nil {
+					t.Error(err)
+					return
+				}
+				read("producer", own)
+			}
+		}(p)
+	}
+	all := make([]int, len(keys))
+	for j := range all {
+		all[j] = j
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			read("reader", all)
+		}
+	}
+	if failed.Load() {
+		return
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	var applied int64
+	for _, ps := range st.PerShard {
+		applied += ps.BatchesApplied
+	}
+	if applied != st.BatchesSent {
+		t.Errorf("Σ BatchesApplied %d != BatchesSent %d after Flush", applied, st.BatchesSent)
+	}
+	idxs := make([]uint64, len(keys))
+	copy(idxs, keys)
+	est, err := e.EstimateBatch(idxs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range keys {
+		if want := bound[j].Load(); est[j] != float64(want) {
+			t.Errorf("key %d: EstimateBatch %v after Flush, want %d", keys[j], est[j], want)
+		}
+	}
+	sup, err := e.Support()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sup) != len(keys) {
+		t.Errorf("Support after Flush has %d keys, want %d", len(sup), len(keys))
+	}
+	if n := e.Stats().SnapshotBuilds; n != 0 {
+		t.Errorf("routed reads built %d snapshots, want 0", n)
+	}
+}

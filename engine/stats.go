@@ -49,7 +49,8 @@ type engineMetrics struct {
 // ShardStats is one shard's slice of an engine Stats snapshot.
 type ShardStats struct {
 	// BatchesApplied and KeysApplied count batches the shard has
-	// finished applying, on its goroutine or inline in a routed read;
+	// finished applying, sent through its inbox or stashed by a routed
+	// read;
 	// after Flush they are exact (sum of BatchesApplied over shards
 	// equals BatchesSent).
 	BatchesApplied int64
@@ -79,8 +80,9 @@ type Stats struct {
 	// IngestCalls counts Ingest invocations that accepted at least one
 	// update; IngestedKeys the updates they carried; BatchesSent the
 	// columnar batches handed to shards: full runs and flush remainders
-	// pushed to a shard inbox, plus pending runs a routed read applied
-	// inline under the shard's lock.
+	// pushed to a shard inbox, plus pending runs a routed read stashed
+	// with the shard, applied by the next read or inbox message under
+	// the shard's lock.
 	IngestCalls  int64
 	IngestedKeys int64
 	BatchesSent  int64
@@ -196,7 +198,7 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 	m := &e.met
 	c("repro_engine_ingest_calls_total", "Ingest invocations accepted", m.ingestCalls.Load, inst)
 	c("repro_engine_ingested_keys_total", "updates accepted by Ingest", m.ingestedKeys.Load, inst)
-	c("repro_engine_batches_sent_total", "columnar batches handed to shards (inbox pushes plus pending runs applied inline by routed reads)", m.batchesSent.Load, inst)
+	c("repro_engine_batches_sent_total", "columnar batches handed to shards (inbox pushes plus pending runs stashed by routed reads)", m.batchesSent.Load, inst)
 	h("repro_engine_ingest_seconds", "wall time per Ingest call", m.ingestNanos.Snapshot, inst)
 	c("repro_engine_queries_total", "queries by path", m.pointQueries.Load, inst, obs.Label{Key: "path", Value: "point"})
 	c("repro_engine_queries_total", "queries by path", m.batchedQueries.Load, inst, obs.Label{Key: "path", Value: "batched"})
@@ -219,7 +221,7 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 		sh := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
 		c("repro_engine_shard_batches_applied_total", "batches applied per shard", wm.BatchesApplied.Load, inst, sh)
 		c("repro_engine_shard_keys_applied_total", "keys applied per shard", wm.KeysApplied.Load, inst, sh)
-		c("repro_engine_shard_busy_nanos_total", "time spent applying this shard's batches, on its goroutine or inline in routed reads", wm.BusyNanos.Load, inst, sh)
+		c("repro_engine_shard_busy_nanos_total", "time spent applying this shard's batches, on its goroutine or in routed reads", wm.BusyNanos.Load, inst, sh)
 		c("repro_engine_shard_send_stalls_total", "hand-offs that found the inbox full", wm.SendStalls.Load, inst, sh)
 		r.GaugeFunc(owner, "repro_engine_shard_queue_depth", "inbox occupancy per shard",
 			func() int64 { return int64(w.QueueDepth()) }, inst, sh)

@@ -24,9 +24,12 @@
 //     Run(func(){ v = structures.Query(i) }) waits out the messages
 //     already committed to the inbox and reads the live structure — no
 //     clone, no merge, no wake-up of the worker goroutine.
-//     Lock and RunLocked split it in two, so a caller can take the lock
-//     inside its own critical section and apply a batch it holds
-//     inline before reading.
+//
+// Stash hands the worker a batch without the inbox: it never blocks
+// on the shard, and the next Run or inbox message, whichever takes the
+// mutex first, applies it before anything else. A reader stashes the
+// batch it must see and then Runs, so it never holds the shard's mutex
+// while it waits for anything else.
 //
 // The worker deliberately knows nothing about which structures it
 // feeds: it moves batches and closures, the engine supplies the
@@ -35,6 +38,8 @@ package shard
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -63,14 +68,13 @@ type message struct {
 // adjacent workers' metrics never false-share. Under -tags noobs the
 // whole struct is zero-size and every recording call compiles out.
 type Metrics struct {
-	// BatchesApplied and KeysApplied count batches applied, by the owner
-	// goroutine or inline in RunLocked (a flush barrier makes them exact
-	// totals).
+	// BatchesApplied and KeysApplied count batches applied, sent or
+	// stashed (a flush barrier makes them exact totals).
 	BatchesApplied obs.Counter
 	KeysApplied    obs.Counter
 	// BusyNanos accumulates time spent inside UpdateColumns, on the
-	// owner goroutine or inline in RunLocked — occupancy = BusyNanos /
-	// wall time.
+	// owner goroutine or, for stashed batches, on whichever goroutine
+	// holds the mutex — occupancy = BusyNanos / wall time.
 	BusyNanos obs.Counter
 	// SendStalls counts Sends that found the inbox full and had to
 	// block — the backpressure signal.
@@ -87,8 +91,8 @@ type Worker struct {
 	m       Metrics
 
 	// mu is held by the worker goroutine while it processes a message
-	// and from Lock (or Run) to the end of RunLocked; progress is
-	// signalled each time processed advances.
+	// and for the length of a Run; progress is signalled each time
+	// processed advances while a Run waits on it.
 	mu       sync.Mutex
 	progress sync.Cond
 	// reserved counts messages committed to the inbox: it is incremented
@@ -96,9 +100,22 @@ type Worker struct {
 	// is already counted. processed (guarded by mu) counts messages the
 	// worker goroutine has finished. A message the goroutine has
 	// received but not yet locked for is counted by the first and not
-	// the second, which is how Run sees it.
+	// the second, which is how Run sees it. wakeAt (guarded by mu) is
+	// the smallest processed count a blocked Run waits for, or
+	// MaxUint64 when none waits, so the goroutine signals only when a
+	// wait is over.
 	reserved  atomic.Uint64
 	processed uint64
+	wakeAt    uint64
+
+	// stash holds batches handed over by Stash, guarded by stashMu,
+	// which covers only the append and the swap; stashed mirrors its
+	// length so the lock-holder's check is one atomic load. spare is
+	// the drained backing array, reused by the next swap (guarded by mu).
+	stashMu sync.Mutex
+	stash   []*core.Batch
+	spare   []*core.Batch
+	stashed atomic.Int32
 }
 
 // New starts a worker goroutine that feeds ing. queue is the inbox
@@ -111,15 +128,14 @@ func New(ing Ingester, queue int, recycle func(*core.Batch)) *Worker {
 
 // NewNamed is New with an observability name: when non-empty, the
 // worker goroutine labels itself with the pprof label shard=name (CPU
-// profiles attribute samples per shard). Every batch apply, on the
-// worker goroutine or inline in RunLocked, is wrapped in the
-// execution-trace region "shard.apply" so `go tool trace` shows
-// per-shard apply spans.
+// profiles attribute samples per shard). Every batch apply, sent or
+// stashed, is wrapped in the execution-trace region "shard.apply" so
+// `go tool trace` shows per-shard apply spans.
 func NewNamed(ing Ingester, queue int, recycle func(*core.Batch), name string) *Worker {
 	if queue < 1 {
 		queue = 1
 	}
-	w := &Worker{in: make(chan message, queue), ing: ing, recycle: recycle}
+	w := &Worker{in: make(chan message, queue), ing: ing, recycle: recycle, wakeAt: math.MaxUint64}
 	w.progress.L = &w.mu
 	w.wg.Add(1)
 	go func() {
@@ -129,6 +145,7 @@ func NewNamed(ing Ingester, queue int, recycle func(*core.Batch), name string) *
 		}
 		for m := range w.in {
 			w.mu.Lock()
+			w.drainLocked()
 			if m.batch != nil {
 				w.apply(m.batch)
 			}
@@ -137,8 +154,19 @@ func NewNamed(ing Ingester, queue int, recycle func(*core.Batch), name string) *
 				close(m.done)
 			}
 			w.processed++
+			wake := w.processed >= w.wakeAt
+			if wake {
+				w.wakeAt = math.MaxUint64
+			}
 			w.mu.Unlock()
-			w.progress.Broadcast()
+			if wake {
+				// The woken Run lands on this goroutine's processor;
+				// yielding lets it take the mutex before this goroutine
+				// locks it again for the next message, so a busy inbox
+				// cannot keep a read waiting.
+				w.progress.Broadcast()
+				runtime.Gosched()
+			}
 		}
 	}()
 	return w
@@ -157,6 +185,25 @@ func (w *Worker) apply(b *core.Batch) {
 	if w.recycle != nil {
 		w.recycle(b)
 	}
+}
+
+// drainLocked applies every stashed batch. The caller holds w.mu, so
+// drains never overlap and spare is theirs; stashMu is held only for
+// the swap, never across an apply.
+func (w *Worker) drainLocked() {
+	if w.stashed.Load() == 0 {
+		return
+	}
+	w.stashMu.Lock()
+	runs := w.stash
+	w.stash = w.spare
+	w.stashed.Store(0)
+	w.stashMu.Unlock()
+	for j, b := range runs {
+		w.apply(b)
+		runs[j] = nil
+	}
+	w.spare = runs[:0]
 }
 
 // Metrics returns the worker's counters; readers may load them at any
@@ -213,42 +260,55 @@ func (w *Worker) DoAsync(f func()) <-chan struct{} {
 	return done
 }
 
-// Run runs f on the caller's goroutine under the worker's mutex, after
-// every message committed to the inbox before the call has been
-// processed: Lock followed by RunLocked(nil, f).
-func (w *Worker) Run(f func()) {
-	w.mu.Lock()
-	w.RunLocked(nil, f)
+// Stash hands a nonempty batch to the worker without the inbox,
+// transferring ownership: the next Run, or the next inbox message the
+// worker goroutine processes, applies it before anything else. Stash
+// never waits on the shard — it takes only a mutex that covers the
+// append — so a caller can stash inside its own critical section.
+func (w *Worker) Stash(b *core.Batch) {
+	w.stashMu.Lock()
+	w.stash = append(w.stash, b)
+	w.stashed.Store(int32(len(w.stash)))
+	w.stashMu.Unlock()
 }
 
-// Lock takes the worker's mutex for a later RunLocked. A caller takes
-// it inside its own critical section when a Run that enters that
-// section after it must not read the shard before this caller's batch
-// is applied: the later Run then queues behind the lock.
-func (w *Worker) Lock() { w.mu.Lock() }
+// Mark returns the number of messages committed to the inbox so far,
+// the point a later RunAfter waits for.
+func (w *Worker) Mark() uint64 { return w.reserved.Load() }
 
-// RunLocked, with the mutex held (see Lock), applies b inline when it
-// is non-nil (ownership transfers as with Send), waits until every
-// message committed to the inbox before the call has been processed,
-// runs f, and releases the mutex. Queued messages are left to the
-// worker goroutine, which keeps the inbox strictly FIFO; the wait
-// releases the mutex, and b is applied before it, so a Run that takes
-// the mutex meanwhile already sees b. f must not call back into the
-// Worker.
-func (w *Worker) RunLocked(b *core.Batch, f func()) {
-	if b != nil {
-		w.apply(b)
-	}
-	for want := w.reserved.Load(); w.processed < want; {
+// Run runs f on the caller's goroutine under the worker's mutex, after
+// every batch stashed before the call has been applied and every
+// message committed to the inbox before the call has been processed:
+// RunAfter(Mark(), f).
+func (w *Worker) Run(f func()) { w.RunAfter(w.Mark(), f) }
+
+// RunAfter is Run that waits only for the messages counted by mark, an
+// earlier Mark: a read of several shards marks them all at once, so
+// while a producer keeps the inboxes full it waits out one backlog,
+// not one per shard. Stashed batches are applied inline; queued
+// messages are left to the worker goroutine, which keeps the inbox
+// strictly FIFO (RunAfter waits, releasing the mutex, until the
+// goroutine has caught up). f must not call back into the Worker.
+func (w *Worker) RunAfter(mark uint64, f func()) {
+	w.mu.Lock()
+	w.drainLocked()
+	for w.processed < mark {
+		// Every waiter wakes on a signal and re-registers here if its
+		// own mark is still ahead.
+		w.wakeAt = min(w.wakeAt, mark)
 		w.progress.Wait()
 	}
 	f()
 	w.mu.Unlock()
 }
 
-// Close stops the worker after draining every queued message and waits
-// for the goroutine to exit. The Worker must not be used afterwards.
+// Close stops the worker after draining every queued message and
+// stashed batch and waits for the goroutine to exit. The Worker must
+// not be used afterwards.
 func (w *Worker) Close() {
 	close(w.in)
 	w.wg.Wait()
+	w.mu.Lock()
+	w.drainLocked()
+	w.mu.Unlock()
 }

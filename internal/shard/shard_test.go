@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -138,30 +140,33 @@ type keyCounter struct{ n int64 }
 
 func (k *keyCounter) UpdateColumns(b *core.Batch) { k.n += int64(b.Len()) }
 
-// TestWorkerRunObservesCommitted hammers Run and RunLocked against
-// concurrent Send and DoAsync callers on a small inbox. Every read must
-// observe every message whose Send or DoAsync returned before it began
+// TestWorkerRunObservesCommitted hammers Run against concurrent Send,
+// DoAsync and Stash callers on a small inbox. Every Run must observe
+// every message whose Send, DoAsync or Stash returned before it began
 // — including a message the worker goroutine has received but not yet
-// locked for — and RunLocked must apply its own batch before f runs.
+// locked for.
 func TestWorkerRunObservesCommitted(t *testing.T) {
 	ing := &keyCounter{}
 	w := New(ing, 2, core.PutBatch)
-	const senders, sends, doers, dos = 4, 400, 2, 200
-	var sentKeys, doneDos atomic.Int64
+	const senders, sends, doers, dos, stashers, stashes = 4, 400, 2, 200, 2, 300
+	var committedKeys, doneDos atomic.Int64
 	closures := 0 // DoAsync closures run so far; guarded by the worker's mutex
 	var wg sync.WaitGroup
+	batch := func(tag, k, n int) *core.Batch {
+		b := core.GetBatch()
+		for j := 0; j < n; j++ {
+			b.Append(uint64(tag<<20|k<<2|j), 1)
+		}
+		return b
+	}
 	for g := 0; g < senders; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for k := 0; k < sends; k++ {
 				n := 1 + (g+k)%3
-				b := core.GetBatch()
-				for j := 0; j < n; j++ {
-					b.Append(uint64(g<<20|k<<2|j), 1)
-				}
-				w.Send(b)
-				sentKeys.Add(int64(n))
+				w.Send(batch(g, k, n))
+				committedKeys.Add(int64(n))
 			}
 		}(g)
 	}
@@ -178,39 +183,75 @@ func TestWorkerRunObservesCommitted(t *testing.T) {
 			}
 		}(g)
 	}
+	for g := 0; g < stashers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < stashes; k++ {
+				n := 1 + k%2
+				w.Stash(batch(senders+g, k, n))
+				committedKeys.Add(int64(n))
+				if k%3 == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(g)
+	}
 	finished := make(chan struct{})
 	go func() { wg.Wait(); close(finished) }()
 
-	var ownKeys int64
 	var runs, misses int
 	for running := true; running; runs++ {
 		select {
 		case <-finished:
-			running = false // one last Run after every sender returned
+			running = false // one last Run after every caller returned
 		default:
 		}
-		wantKeys, wantDos := sentKeys.Load(), doneDos.Load()
-		check := func() {
-			if ing.n < wantKeys+ownKeys || int64(closures) < wantDos {
+		wantKeys, wantDos := committedKeys.Load(), doneDos.Load()
+		w.Run(func() {
+			if ing.n < wantKeys || int64(closures) < wantDos {
 				misses++
 			}
-		}
-		if runs%2 == 0 {
-			w.Run(check)
-			continue
-		}
-		w.Lock()
-		ownKeys++
-		w.RunLocked(planned(stream.Update{Index: uint64(1<<40 | runs), Delta: 1}), check)
+		})
 	}
+	// A batch stashed after the last Run is applied by Close.
+	w.Stash(batch(1<<10, 0, 1))
 	w.Close()
 	if misses > 0 {
 		t.Fatalf("%d of %d Runs missed a committed message", misses, runs)
 	}
-	if want := sentKeys.Load() + ownKeys; ing.n != want {
+	if want := committedKeys.Load() + 1; ing.n != want {
 		t.Fatalf("applied %d keys, want %d", ing.n, want)
 	}
 	if closures != doers*dos {
 		t.Fatalf("ran %d DoAsync closures, want %d", closures, doers*dos)
+	}
+}
+
+// TestWorkerStash checks where stashed batches are applied: before f in
+// the next Run, before the closure of the next inbox message, and in
+// Close — each exactly once.
+func TestWorkerStash(t *testing.T) {
+	ing := &keyCounter{}
+	w := New(ing, 1, core.PutBatch)
+	w.Stash(planned(stream.Update{Index: 1, Delta: 1}, stream.Update{Index: 2, Delta: 1}))
+	w.Stash(planned(stream.Update{Index: 3, Delta: 1}))
+	var seen int64
+	w.Run(func() { seen = ing.n })
+	if seen != 3 {
+		t.Fatalf("Run saw %d keys, want the 3 stashed before it", seen)
+	}
+	w.Stash(planned(stream.Update{Index: 4, Delta: 1}))
+	<-w.DoAsync(func() { seen = ing.n })
+	if seen != 4 {
+		t.Fatalf("DoAsync closure saw %d keys, want 4", seen)
+	}
+	w.Stash(planned(stream.Update{Index: 5, Delta: 1}))
+	w.Close()
+	if ing.n != 5 {
+		t.Fatalf("applied %d keys after Close, want 5", ing.n)
+	}
+	if got := w.Metrics().BatchesApplied.Load(); obs.Enabled && got != 4 {
+		t.Fatalf("BatchesApplied = %d, want 4", got)
 	}
 }
